@@ -83,24 +83,52 @@ func parse(sc *bufio.Scanner) (*report, error) {
 			}
 		}
 	}
+	stripProcs(rep.Results)
 	return rep, sc.Err()
+}
+
+// stripProcs removes the GOMAXPROCS suffix from the result names.  Go
+// appends "-N" to every benchmark name when GOMAXPROCS is N > 1 and nothing
+// when it is 1, so a trailing "-N" is the procs suffix only when every
+// result line of the run ends in the same one; otherwise (a GOMAXPROCS=1
+// run, where "workers-1" and "workers-4" are sub-benchmark names) the names
+// are kept whole.
+func stripProcs(results []benchResult) {
+	procs := -1
+	for _, r := range results {
+		p, ok := procsSuffix(r.Name)
+		if !ok || (procs >= 0 && p != procs) {
+			return
+		}
+		procs = p
+	}
+	for i := range results {
+		r := &results[i]
+		r.Name = strings.TrimSuffix(r.Name, "-"+strconv.Itoa(procs))
+		r.Procs = procs
+	}
+}
+
+// procsSuffix returns N when name ends in "-N".
+func procsSuffix(name string) (int, bool) {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return 0, false
+	}
+	p, err := strconv.Atoi(name[i+1:])
+	return p, err == nil
 }
 
 // parseBenchLine parses one benchmark result line.  The shape is
 // "BenchmarkName[-procs] N [value unit]..." with whitespace-separated
-// fields; unparsable lines are skipped rather than failing the report.
+// fields; unparsable lines are skipped rather than failing the report.  The
+// name keeps any procs suffix; parse strips it once the whole run is read.
 func parseBenchLine(line string) (benchResult, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
 		return benchResult{}, false
 	}
 	r := benchResult{Name: strings.TrimPrefix(fields[0], "Benchmark")}
-	if i := strings.LastIndexByte(r.Name, '-'); i >= 0 {
-		if p, err := strconv.Atoi(r.Name[i+1:]); err == nil {
-			r.Procs = p
-			r.Name = r.Name[:i]
-		}
-	}
 	n, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return benchResult{}, false

@@ -49,3 +49,44 @@ func TestParseSkipsGarbage(t *testing.T) {
 		t.Errorf("garbage produced %d results", len(rep.Results))
 	}
 }
+
+// TestParseGOMAXPROCS1 covers a GOMAXPROCS=1 run: Go prints no procs suffix,
+// so a trailing "-N" belongs to the sub-benchmark name and must survive.
+func TestParseGOMAXPROCS1(t *testing.T) {
+	in := `pkg: repro
+BenchmarkEngineBatch/workers-1         	     100	  3100000 ns/op
+BenchmarkEngineBatch/workers-4         	     100	  3000000 ns/op
+BenchmarkEngineInvariant/cold          	      10	 36000000 ns/op
+`
+	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"EngineBatch/workers-1", "EngineBatch/workers-4", "EngineInvariant/cold"}
+	if len(rep.Results) != len(want) {
+		t.Fatalf("results = %d, want %d", len(rep.Results), len(want))
+	}
+	for i, r := range rep.Results {
+		if r.Name != want[i] || r.Procs != 0 {
+			t.Errorf("result %d = %q procs %d, want %q procs 0", i, r.Name, r.Procs, want[i])
+		}
+	}
+}
+
+// TestParseSharedProcsSuffix: under GOMAXPROCS=4 every line carries "-4",
+// which is stripped, while a sub-benchmark's own "-1" stays.
+func TestParseSharedProcsSuffix(t *testing.T) {
+	in := `BenchmarkEngineBatch/workers-1-4 	100	3100000 ns/op
+BenchmarkEngineBatch/workers-4-4 	100	3000000 ns/op
+`
+	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"EngineBatch/workers-1", "EngineBatch/workers-4"}
+	for i, r := range rep.Results {
+		if r.Name != want[i] || r.Procs != 4 {
+			t.Errorf("result %d = %q procs %d, want %q procs 4", i, r.Name, r.Procs, want[i])
+		}
+	}
+}

@@ -60,6 +60,10 @@
 // mounts net/http/pprof on a second, normally loopback-only listener kept
 // off the public API socket.
 //
+// Connections get a 10s header deadline (against slowloris peers) and a 3m
+// idle deadline, but no read or write deadline, which would cut uploads and
+// NDJSON streams.
+//
 // Shutdown is graceful: SIGINT/SIGTERM stops accepting connections, drains
 // in-flight requests (NDJSON streams included) for up to 10s via
 // http.Server.Shutdown, and only then flushes and closes the invariant
@@ -141,7 +145,7 @@ func runServe(args []string) {
 
 	s := newServer(engine)
 	s.slow = *slow
-	srv := &http.Server{Addr: *addr, Handler: s.routes()}
+	srv := newHTTPServer(*addr, s.routes())
 
 	// Graceful shutdown: stop accepting, drain in-flight requests (NDJSON
 	// streams included), then flush the store manifest.  Closing the engine
@@ -174,6 +178,27 @@ func runServe(args []string) {
 	logger.Info("shutdown complete")
 }
 
+// Connection timeouts of both listeners.  A client must finish its request
+// headers within readHeaderTimeout, so a slowloris peer that trickles them
+// cannot hold a connection open, and a keep-alive connection idle for
+// idleTimeout is closed.  There is deliberately no ReadTimeout or
+// WriteTimeout: either would cut large uploads and long NDJSON batch
+// streams, whose duration is bounded by the work asked for, not by time.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 180 * time.Second
+)
+
+// newHTTPServer returns the http.Server serve listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func buildLogger(format, level string) (*slog.Logger, error) {
 	lvl, err := topoinv.ParseLogLevel(level)
 	if err != nil {
@@ -195,7 +220,7 @@ func servePprof(logger *slog.Logger, addr string) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	logger.Info("pprof listening", "addr", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
+	if err := newHTTPServer(addr, mux).ListenAndServe(); err != nil {
 		logger.Error("pprof listener failed", "addr", addr, "err", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/topoinv"
 )
@@ -509,5 +510,21 @@ func TestServeBatchNDJSON(t *testing.T) {
 		if seen[i].Error != "" || !seen[i].Answer {
 			t.Errorf("item %d: %+v, want a true answer", i, seen[i])
 		}
+	}
+}
+
+// TestHTTPServerTimeouts pins serve's connection timeouts: a header deadline
+// against slowloris peers and an idle deadline for keep-alive connections,
+// but no read or write deadline, which would cut uploads and NDJSON streams.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout < 120*time.Second {
+		t.Errorf("IdleTimeout = %v, want at least 2m", srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; want neither set", srv.ReadTimeout, srv.WriteTimeout)
 	}
 }

@@ -269,23 +269,22 @@ type config struct {
 
 // WithNaivePairFinding selects the quadratic all-pairs reference pipeline —
 // exact bounding-box candidate search, post-hoc point-on-segment scans and
-// point-location classification — instead of the sweep.  It exists solely
-// for ablation benchmarks and differential testing against the sweep path.
+// point-location classification — instead of the sweep.  It is a fuzz
+// oracle: FuzzSweepSubdivisionVsNaive and the ablation benchmarks are its
+// only users, and it stays only while they need it.
 func WithNaivePairFinding() Option {
 	return func(c *config) { c.naivePairs = true }
 }
 
 // Build computes the maximum topological cell decomposition of the instance.
+// It trusts inst: a spatial.Instance is validated region by region when it
+// is populated (spatial.Instance.Set), so Build does not sweep it again.
 func Build(inst *spatial.Instance, opts ...Option) (*Complex, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	start := time.Now()
-	if err := inst.Validate(); err != nil {
-		mBuilds.With("error").Inc()
-		return nil, fmt.Errorf("arrangement: invalid instance: %w", err)
-	}
 
 	// 1. Subdivision.
 	sub := subdivide(inst, cfg.naivePairs)

@@ -683,7 +683,9 @@ func (r *reader) region() (region.Region, error) {
 			return region.Region{}, fmt.Errorf("codec: bad feature dimension %d", dim)
 		}
 	}
-	return region.New(features...)
+	// Unvalidated: DecodeInstance hands the region to Instance.Set, the one
+	// place a region is validated.
+	return region.Region{Features: features}, nil
 }
 
 func (r *reader) cellRef() (invariant.CellRef, error) {

@@ -87,11 +87,10 @@ type Database struct {
 // cache).  Without one, evaluators are compiled per database.
 func (db *Database) SetEvalSource(src EvalSource) { db.src = src }
 
-// Open prepares a database for the instance.
+// Open prepares a database for the instance.  It does not re-validate:
+// a spatial.Instance is valid by construction (see its doc), so Open trusts
+// it and costs nothing.  The error result is kept for callers of the API.
 func Open(inst *spatial.Instance) (*Database, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
 	return &Database{inst: inst}, nil
 }
 
@@ -101,12 +100,7 @@ func Open(inst *spatial.Instance) (*Database, error) {
 // content-addressed cache guarantees this by keying invariants on the hash of
 // the encoded instance.  A nil inv behaves like Open.
 func OpenWith(inst *spatial.Instance, inv *invariant.Invariant) (*Database, error) {
-	db, err := Open(inst)
-	if err != nil {
-		return nil, err
-	}
-	db.inv = inv
-	return db, nil
+	return &Database{inst: inst, inv: inv}, nil
 }
 
 // Instance returns the underlying spatial instance.

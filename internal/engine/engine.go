@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arrangement"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/invariant"
@@ -406,6 +407,12 @@ func (e *Engine) invariant(inst *spatial.Instance) (inv *invariant.Invariant, hi
 
 // load resolves a memory miss: disk store first (when configured), then a
 // fresh computation whose result is persisted back to the store.
+//
+// A fresh computation builds the arrangement once and derives both of its
+// products from that one complex: the invariant, and the compiled evaluator,
+// which is cached under the same content key.  The ask that triggered the
+// build, and every later one, then hit the evaluator cache instead of
+// building the arrangement a second time for the sample.
 func (e *Engine) load(key string, inst *spatial.Instance) (*invariant.Invariant, error) {
 	if e.storeErr != nil {
 		return nil, fmt.Errorf("engine: invariant store: %w", e.storeErr)
@@ -436,11 +443,15 @@ func (e *Engine) load(key string, inst *spatial.Instance) (*invariant.Invariant,
 	}
 	e.computes.Add(1)
 	start := time.Now()
-	inv, err := invariant.Compute(inst)
-	mInvariantBuild.ObserveDuration(time.Since(start))
+	cx, err := arrangement.Build(inst)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("invariant: %w", err)
 	}
+	inv := invariant.FromComplex(cx)
+	mInvariantBuild.ObserveDuration(time.Since(start))
+	start = time.Now()
+	e.cacheEvaluator(key, pointfo.CompileFromSample(pointfo.SampleFromComplex(cx)))
+	mEvalBuild.ObserveDuration(time.Since(start))
 	if e.store != nil {
 		put := e.store.Put
 		if overwrite {
@@ -779,8 +790,9 @@ type Stats struct {
 	EvalEvictions uint64 `json:"eval_evictions"`
 	EvalSize      int    `json:"eval_size"`
 	EvalCapacity  int    `json:"eval_capacity"`
-	// Computes counts actual invariant.Compute runs: misses that neither
-	// the memory cache, the in-flight table nor the disk store absorbed.
+	// Computes counts fresh invariant computations, one arrangement build
+	// each: misses that neither the memory cache, the in-flight table nor
+	// the disk store absorbed.
 	Computes uint64 `json:"computes"`
 	// StoreHits / StorePuts / StoreErrors cover the disk store (all zero
 	// when no store is configured).

@@ -130,6 +130,15 @@ func (e *Engine) CompiledEvaluator(inst *spatial.Instance) (ce *pointfo.Compiled
 	return c.ce, c.err
 }
 
+// cacheEvaluator inserts an evaluator derived from an arrangement another
+// path already built (the invariant computation in load).
+func (e *Engine) cacheEvaluator(key string, ce *pointfo.CompiledEvaluator) {
+	sh := e.evalShardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.insert(key, ce)
+}
+
 // insert adds an entry and evicts from the LRU tail past the shard capacity.
 // Called with sh.mu held.
 func (sh *evalShard) insert(key string, ce *pointfo.CompiledEvaluator) {

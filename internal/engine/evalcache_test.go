@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pointfo"
+	"repro/internal/workload"
 )
 
 func TestEvaluatorCacheHit(t *testing.T) {
@@ -141,5 +143,32 @@ func TestEvaluatorCacheConcurrent(t *testing.T) {
 	st := e.Stats()
 	if st.EvalSize != len(insts) {
 		t.Errorf("eval size = %d, want %d (one evaluator per content)", st.EvalSize, len(insts))
+	}
+}
+
+// TestColdAskBuildsArrangementOnce pins the single-build cold path: the
+// first ask on a never-seen instance builds the arrangement once, derives
+// the invariant and the compiled evaluator from it, and the evaluator lookup
+// that follows is a cache hit.
+func TestColdAskBuildsArrangementOnce(t *testing.T) {
+	inst, err := workload.LandUse(workload.DefaultLandUse(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := obs.Default.CounterVec("topoinv_arrangement_builds_total", "", "outcome").With("ok")
+	e := New()
+	before := builds.Value()
+	if _, err := e.Ask(inst, nonEmpty("class00"), core.Auto); err != nil {
+		t.Fatal(err)
+	}
+	if got := builds.Value() - before; got != 1 {
+		t.Errorf("cold ask built %d arrangements, want 1", got)
+	}
+	st := e.Stats()
+	if st.Computes != 1 {
+		t.Errorf("computes = %d, want 1", st.Computes)
+	}
+	if st.EvalMisses != 0 || st.EvalHits < 1 {
+		t.Errorf("evaluator cache: %d misses, %d hits; want 0 misses and a hit", st.EvalMisses, st.EvalHits)
 	}
 }

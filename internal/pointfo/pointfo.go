@@ -272,7 +272,10 @@ func (s *Sample) regionIndex(name string) int {
 	return -1
 }
 
-// Evaluator evaluates point-language sentences on one instance.
+// Evaluator evaluates point-language sentences on one instance by walking
+// the formula tree.  It is the reference semantics: the fallback outside the
+// compiled fragment, and the fuzz oracle FuzzCompiledVsTreeEval checks the
+// compiled evaluator against.
 type Evaluator struct {
 	inst   *spatial.Instance
 	sample *Sample

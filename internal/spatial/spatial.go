@@ -72,6 +72,14 @@ func (s *Schema) Index(name string) int {
 
 // Instance is a spatial database instance: a mapping from the schema's region
 // names to compact regions.
+//
+// An Instance is valid by construction.  Set is the one place a region is
+// validated, and NewInstance, Build and Set are the only ways to populate an
+// instance, so every region an Instance holds has passed Set.  The layers
+// above (arrangement.Build, core.Open, the engine) trust an Instance and do
+// not check it again.  In return, an Instance and the regions it holds must
+// not be mutated once it is handed to them: a caller that edits a region's
+// Features slice after Set breaks the contract.
 type Instance struct {
 	schema  *Schema
 	regions map[string]region.Region
@@ -108,7 +116,9 @@ func MustBuild(schema *Schema, regions map[string]region.Region) *Instance {
 func (i *Instance) Schema() *Schema { return i.schema }
 
 // Set assigns a region to a name; the name must be in the schema and the
-// region must validate.
+// region must validate.  It is the trust boundary of the whole pipeline:
+// untrusted decoders (codec.DecodeInstance, the GeoJSON importer) hand their
+// features straight to Set, which validates each feature exactly once.
 func (i *Instance) Set(name string, r region.Region) error {
 	if !i.schema.Has(name) {
 		return fmt.Errorf("spatial: region name %q not in schema", name)
@@ -204,7 +214,9 @@ func (i *Instance) AllConnected() bool {
 	return true
 }
 
-// Validate checks every region.
+// Validate re-checks every region.  Set has already validated each of them,
+// so nothing on the query path calls it; it remains for tests, fuzz targets
+// and tools that want to confirm the contract.
 func (i *Instance) Validate() error {
 	for _, n := range i.schema.names {
 		if err := i.regions[n].Validate(); err != nil {

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"time"
+
 	"repro/internal/obs"
 )
 
@@ -23,3 +25,11 @@ var (
 		"topoinv_sweep_intersections_total",
 		"Intersecting pairs reported to sweep clients.")
 )
+
+// record adds one finished pass, started at start, to the metrics.
+func (sw *sweeper) record(start time.Time) {
+	mRunLatency.ObserveDuration(time.Since(start))
+	mSegments.Add(uint64(len(sw.segs)))
+	mEvents.Add(sw.eventsProcessed)
+	mIntersections.Add(sw.pairsReported)
+}

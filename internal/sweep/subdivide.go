@@ -74,9 +74,6 @@ func Subdivide(segs []geom.Segment, probePts []geom.Point) *Subdivision {
 		sw.addEventPoints(probePts)
 	}
 	sw.run()
-	mRunLatency.ObserveDuration(time.Since(start))
-	mSegments.Add(uint64(len(segs)))
-	mEvents.Add(sw.eventsProcessed)
-	mIntersections.Add(sw.pairsReported)
+	sw.record(start)
 	return res
 }

@@ -66,10 +66,7 @@ func Run(segs []geom.Segment, visit func(Pair) bool) {
 	start := time.Now()
 	sw := newSweeper(segs, visit)
 	sw.run()
-	mRunLatency.ObserveDuration(time.Since(start))
-	mSegments.Add(uint64(len(segs)))
-	mEvents.Add(sw.eventsProcessed)
-	mIntersections.Add(sw.pairsReported)
+	sw.record(start)
 }
 
 // Intersections returns every intersecting pair ("report all" mode).

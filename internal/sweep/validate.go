@@ -21,6 +21,7 @@ package sweep
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/geom"
 )
@@ -124,6 +125,7 @@ func ValidateAreaSweep(outer geom.Polygon, holes []geom.Polygon) error {
 		}
 	}
 
+	start := time.Now()
 	var verr error
 	sw := newSweeper(segs, func(p Pair) bool {
 		a, b := refs[p.I], refs[p.J]
@@ -142,6 +144,7 @@ func ValidateAreaSweep(outer geom.Polygon, holes []geom.Polygon) error {
 		sw.addQuery(lexMinVertex(holes[h]), &counts[h])
 	}
 	sw.run()
+	sw.record(start)
 	if verr != nil {
 		return verr
 	}
@@ -157,7 +160,9 @@ func ValidateAreaSweep(outer geom.Polygon, holes []geom.Polygon) error {
 // equivalent to ValidateAreaSweep: every ring simple, every cross-ring edge
 // pair disjoint, every hole's representative vertex strictly inside the
 // outer ring and outside the other holes (with no edge intersections, one
-// vertex speaks for the whole hole).
+// vertex speaks for the whole hole).  Besides serving ValidateArea below
+// quadraticCutoff, it is the fuzz oracle FuzzSweepVsQuadratic checks the
+// sweep against.
 func ValidateAreaQuadratic(outer geom.Polygon, holes []geom.Polygon) error {
 	if err := ringBasics(outer, holes); err != nil {
 		return err
